@@ -23,7 +23,9 @@ Each spec class supports four operations:
     (workload factory, policy instance, ``SimConfig``, ``FaultSchedule``,
     ``NemesisSchedule``).
 
-String grammars (all legacy-compatible):
+String grammars (all legacy-compatible; the parameter tables, clause
+parser, renderer and number formatter are shared, see
+:mod:`repro.api.grammar`):
 
 - workload: suite name (``fib-10``), ``balanced:DEPTH:FANOUT:WORK``,
   ``chain:LEN:WORK``, ``wide:WIDTH:WORK``, ``skewed:DEPTH:FANOUT:WORK``,
@@ -42,57 +44,52 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.api.grammar import (
+    Param,
+    check_bound,
+    coerce,
+    coerce_params,
+    fmt_num,
+    lookup,
+    parse_params,
+    parse_positional,
+    render_params,
+)
 from repro.config import SCHEDULERS, TOPOLOGIES, CostModel, SimConfig
+from repro.core import (
+    NoFaultTolerance,
+    ReplicatedExecution,
+    RollbackRecovery,
+    SpliceRecovery,
+)
 from repro.errors import SpecError
 from repro.load.spec import ArrivalSpec
+from repro.policies import PERSIST_MODES, IncrementalRecovery, ReversibleRecovery
 
 #: Schema tag carried by every RunSpec JSON document.
 RUNSPEC_SCHEMA = "repro-runspec/1"
 
-#: Synthetic-tree workload kinds -> (min_args, max_args) of the builder.
-_TREE_ARITY = {"balanced": (1, 3), "chain": (1, 2), "wide": (1, 2), "skewed": (1, 3)}
-
-_COST_FIELDS = tuple(f.name for f in dataclass_fields(CostModel))
-
-
-def _fmt_num(value: Any) -> str:
-    """Canonical, lossless rendering of a spec number.
-
-    ``repr`` keeps full float precision (round-trip exactness); integral
-    floats drop the trailing ``.0`` so ``span=40`` survives a
-    parse/serialize cycle byte-for-byte.  Positive exponent signs are
-    dropped (``1e+16`` -> ``1e16``, same float) because ``+`` is the
-    entry/clause separator in the fault and nemesis grammars.
-    """
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return str(value)
-        text = repr(value).replace("e+", "e")
-        return text[:-2] if text.endswith(".0") else text
-    return str(value)
-
-
-def _parse_int(token: str, *, spec: str, field_name: str, position: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SpecError(
-            f"bad value {token!r} for {field_name} (expected int)",
-            spec=spec, field=field_name, value=token, position=position,
-        ) from None
-
-
-def _parse_float(token: str, *, spec: str, field_name: str, position: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise SpecError(
-            f"bad value {token!r} for {field_name} (expected float)",
-            spec=spec, field=field_name, value=token, position=position,
-        ) from None
-
 
 # -- workload ------------------------------------------------------------------
+
+_DEPTH = ("depth", Param("int", None, "levels below the root", at_least=0))
+_WORK = ("work", Param("int", 10, "reduction steps per task"))
+
+#: Synthetic-tree kinds -> positional parameters of their
+#: :mod:`repro.workloads.trees` builder, with the builder's bounds.
+_TREE_PARAMS: Dict[str, Tuple[Tuple[str, Param], ...]] = {
+    "balanced": (_DEPTH, ("fanout", Param("int", 2, "children per task", at_least=1)), _WORK),
+    "chain": (("length", Param("int", None, "tasks in the chain", at_least=1)), _WORK),
+    "wide": (("width", Param("int", None, "leaves under the root", at_least=1)), _WORK),
+    "skewed": (_DEPTH, ("fanout", Param("int", 3, "children per spine task")), _WORK),
+    "random": (
+        ("seed", Param("int", None, "tree seed")),
+        ("tasks", Param("int", None, "target task count", at_least=1)),
+    ),
+}
+
+#: One ``prog:NAME:ARG:...`` argument.
+_PROG_ARG = Param("int", None, "program argument")
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,8 @@ class WorkloadSpec:
         if text in WORKLOADS:
             return cls("named", name=text)
         kind, _, rest = text.partition(":")
+        parts = rest.split(":") if rest else []
         if kind == "prog":
-            parts = rest.split(":") if rest else []
             if not parts or not parts[0]:
                 raise SpecError(
                     "prog workload needs a program name (prog:NAME:ARG:...)",
@@ -126,42 +123,28 @@ class WorkloadSpec:
                 )
             from repro.lang.programs import PROGRAMS
 
-            if parts[0] not in PROGRAMS:
-                raise SpecError(
-                    f"unknown program {parts[0]!r}",
-                    spec=text, field="workload.prog", value=parts[0],
-                    allowed=tuple(sorted(PROGRAMS)), position=len("prog:"),
-                )
-            args = cls._parse_args(text, parts[1:], offset=len("prog:") + len(parts[0]) + 1)
+            lookup(
+                PROGRAMS, parts[0], what="program", field="workload.prog",
+                spec=text, position=len("prog:"),
+            )
+            args = parse_positional(
+                text, parts[1:], len("prog:") + len(parts[0]) + 1,
+                [("arg", _PROG_ARG)] * len(parts[1:]),
+                field="workload.prog", owner=f"program {parts[0]!r}",
+            )
             return cls("prog", name=parts[0], args=args)
-        if kind in _TREE_ARITY or kind == "random":
-            parts = rest.split(":") if rest else []
-            args = cls._parse_args(text, parts, offset=len(kind) + 1)
-            lo, hi = _TREE_ARITY.get(kind, (2, 2))
-            if not (lo <= len(args) <= hi):
-                want = f"{lo}" if lo == hi else f"{lo}..{hi}"
-                raise SpecError(
-                    f"workload kind {kind!r} takes {want} integer args, got {len(args)}",
-                    spec=text, field=f"workload.{kind}", value=rest, position=len(kind) + 1,
-                )
+        if kind in _TREE_PARAMS:
+            args = parse_positional(
+                text, parts, len(kind) + 1, _TREE_PARAMS[kind],
+                field=f"workload.{kind}", owner=f"workload kind {kind!r}",
+            )
             return cls(kind, args=args)
         raise SpecError(
             f"unknown workload spec {text!r}",
             spec=text, field="workload", value=text,
-            allowed=tuple(sorted(WORKLOADS))
-            + tuple(sorted(_TREE_ARITY)) + ("random", "prog"),
+            allowed=tuple(sorted(WORKLOADS)) + tuple(_TREE_PARAMS) + ("prog",),
             position=0,
         )
-
-    @staticmethod
-    def _parse_args(text: str, parts: List[str], offset: int) -> Tuple[int, ...]:
-        args = []
-        for part in parts:
-            args.append(
-                _parse_int(part, spec=text, field_name="workload.args", position=offset)
-            )
-            offset += len(part) + 1
-        return tuple(args)
 
     def to_spec_str(self) -> str:
         if self.kind == "named":
@@ -217,21 +200,70 @@ class WorkloadSpec:
             return (
                 lambda: InterpWorkload(get_program(name, *args), name=spec_str)
             ), None
-        if self.kind == "random":
-            seed, target = self.args
-            tree = trees.random_tree(seed=seed, target_tasks=target)
-        else:
-            builders = {
-                "balanced": trees.balanced_tree,
-                "chain": trees.chain_tree,
-                "wide": trees.wide_tree,
-                "skewed": trees.skewed_tree,
-            }
-            tree = builders[self.kind](*self.args)
+        tree = getattr(trees, f"{self.kind}_tree")(*self.args)
         return (lambda: TreeWorkload(tree, spec_str)), len(tree)
 
 
 # -- policy --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Policy:
+    """One recovery policy: its class, its one-line help, and its
+    parameters.  A bare policy name takes the class defaults; with a
+    ``:`` body the parameters are given positionally (``replicated:5``)
+    or keyed (``incremental:persist=durable``)."""
+
+    build: Callable[..., Any]
+    help: str
+    params: Mapping[str, Param] = field(default_factory=dict)
+    positional: bool = False
+
+
+#: The policy table, in catalog order.  ``PolicySpec``, the CLI's
+#: ``--policy`` help and ``repro list`` are all views of it.
+POLICY_TABLE: Dict[str, Policy] = {
+    "none": Policy(NoFaultTolerance, "no recovery: failures strand the run"),
+    "rollback": Policy(
+        RollbackRecovery, "paper §3: reissue the dead node's checkpoints, abort starved waiters"
+    ),
+    "splice": Policy(
+        SpliceRecovery, "paper §4: rollback plus grandparent reroutes, twins, salvaged results"
+    ),
+    "reversible": Policy(
+        ReversibleRecovery, "causal backtracking: unwind unconsumed results, then roll back"
+    ),
+    "incremental": Policy(
+        IncrementalRecovery,
+        "HEAL-style online repair of the dead node's sub-trees",
+        {"persist": Param(
+            "choice", "volatile", "checkpoint state assumed to survive a crash",
+            choices=PERSIST_MODES,
+        )},
+    ),
+    "replicated": Policy(
+        ReplicatedExecution,
+        "paper §5.3: k-fold execution with majority voting",
+        {"k": Param(
+            "int", None, "replicas per task (bare: the machine's replication factor)",
+            at_least=1,
+        )},
+        positional=True,
+    ),
+}
+
+
+def policy_usage(name: str, metavar: Optional[str] = None) -> str:
+    """The usage form of one policy: ``rollback``, ``replicated[:K]``,
+    ``incremental[:persist=volatile|durable|hybrid]`` (or ``=MODE`` when
+    a ``metavar`` is given)."""
+    entry = POLICY_TABLE[name]
+    if not entry.params:
+        return name
+    key, param = next(iter(entry.params.items()))
+    if entry.positional:
+        return f"{name}[:{key.upper()}]"
+    return f"{name}[:{key}={metavar or '|'.join(param.choices)}]"
 
 
 @dataclass(frozen=True)
@@ -242,75 +274,66 @@ class PolicySpec:
     ``replicated`` (``None`` means the policy default of 3).
     ``persist`` is the crash-persistency assumption and only meaningful
     for ``incremental`` (``None`` means the policy default,
-    ``volatile``).
+    ``volatile``).  Both are the declared parameters of
+    :data:`POLICY_TABLE`.
     """
 
     name: str
     k: Optional[int] = None
     persist: Optional[str] = None
 
-    _SIMPLE = ("none", "rollback", "splice", "reversible")
-    _PERSIST_MODES = ("volatile", "durable", "hybrid")
+    _SIMPLE = tuple(name for name, entry in POLICY_TABLE.items() if not entry.params)
+    _PERSIST_MODES = POLICY_TABLE["incremental"].params["persist"].choices
+    #: What an unknown policy name is told it may be instead.
+    _USAGE = tuple(policy_usage(name, "MODE") for name in POLICY_TABLE)
+
+    @classmethod
+    def _entry(cls, name: str, spec: Optional[str] = None) -> Policy:
+        return lookup(
+            POLICY_TABLE, name, what="policy", field="policy", spec=spec, position=0,
+            allowed=cls._USAGE,
+        )
 
     @classmethod
     def parse(cls, text: str) -> "PolicySpec":
         text = str(text)
-        name, sep, arg = text.partition(":")
-        if name == "replicated":
-            if not sep:
-                return cls("replicated")
-            k = _parse_int(arg, spec=text, field_name="policy.k", position=len(name) + 1)
-            return cls("replicated", k=k)
-        if name == "incremental":
-            if not sep:
-                return cls("incremental")
-            return cls("incremental", persist=cls._parse_persist(text, arg, len(name) + 1))
-        if name in cls._SIMPLE:
-            if sep:
-                raise SpecError(
-                    f"policy {name!r} takes no parameter",
-                    spec=text, field="policy", value=text, position=len(name),
-                )
+        name, sep, body = text.partition(":")
+        entry = cls._entry(name, text)
+        if not sep:
             return cls(name)
-        raise SpecError(
-            f"unknown policy spec {text!r}",
-            spec=text, field="policy", value=name,
-            allowed=cls._SIMPLE + ("incremental[:persist=MODE]", "replicated:K"),
-            position=0,
+        if not entry.params:
+            raise SpecError(
+                f"policy {name!r} takes no parameter",
+                spec=text, field="policy", value=text, position=len(name),
+            )
+        owner, offset = f"policy {name!r}", len(name) + 1
+        if entry.positional:
+            values = parse_positional(
+                text, body.split(":"), offset, tuple(entry.params.items()),
+                field="policy", owner=owner,
+            )
+            return cls(name, **dict(zip(entry.params, values)))
+        params = parse_params(
+            text, body, offset, entry.params,
+            field=f"policy.{name}", owner=owner, param_field="policy",
         )
+        return cls(name, **dict(params))
 
-    @classmethod
-    def _parse_persist(cls, text: str, arg: str, position: int) -> str:
-        """Parse the ``persist=MODE`` parameter of ``incremental``.
-
-        Diagnostics follow the nemesis grammar's discipline: an unknown
-        parameter names the policy as the field with the parameter list
-        as the allowed set; a bad value names the parameter as the field
-        with the mode list as the allowed set, positioned at the value.
-        """
-        key, eq, value = arg.partition("=")
-        if not eq or key != "persist":
-            raise SpecError(
-                f"unknown parameter {key!r} for policy 'incremental' "
-                "(expected persist=MODE)",
-                spec=text, field="policy.incremental", value=key,
-                allowed=("persist",), position=position,
-            )
-        if value not in cls._PERSIST_MODES:
-            raise SpecError(
-                f"bad value {value!r} for policy.persist",
-                spec=text, field="policy.persist", value=value,
-                allowed=cls._PERSIST_MODES,
-                position=position + len(key) + 1,
-            )
-        return value
+    def _given(self) -> List[Tuple[str, Any]]:
+        return [
+            (key, getattr(self, key)) for key in POLICY_TABLE[self.name].params
+            if getattr(self, key) is not None
+        ]
 
     def to_spec_str(self) -> str:
-        if self.k is not None:
-            return f"{self.name}:{self.k}"
-        if self.persist is not None:
-            return f"{self.name}:persist={self.persist}"
-        return self.name
+        entry, given = POLICY_TABLE[self.name], self._given()
+        if not given:
+            return self.name
+        if entry.positional:
+            body = ":".join(entry.params[k].render(v) for k, v in given)
+        else:
+            body = render_params(entry.params, given)
+        return f"{self.name}:{body}"
 
     def to_json(self) -> Dict[str, Any]:
         # ``persist`` is emitted only when set so every pre-existing
@@ -322,13 +345,17 @@ class PolicySpec:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "PolicySpec":
-        k = payload.get("k")
-        persist = payload.get("persist")
-        return cls(
-            name=str(payload["name"]),
-            k=None if k is None else int(k),
-            persist=None if persist is None else str(persist),
+        name = str(payload["name"])
+        entry = cls._entry(name)
+        given = {k: v for k, v in payload.items() if k != "name" and v is not None}
+        if not given:
+            return cls(name)
+        params = coerce_params(
+            entry.params, given, field=f"policy.{name}", owner=f"policy {name!r}"
         )
+        for key, value in params:
+            check_bound(entry.params[key], value, field=f"policy.{key}")
+        return cls(name, **dict(params))
 
     def build(self):
         """Instantiate a fresh policy object.
@@ -338,27 +365,13 @@ class PolicySpec:
         makes ``Experiment.replication(k)`` govern the replicated
         policy as documented.
         """
-        from repro.core import (
-            NoFaultTolerance,
-            ReplicatedExecution,
-            RollbackRecovery,
-            SpliceRecovery,
-        )
-        from repro.policies import IncrementalRecovery, ReversibleRecovery
-
-        if self.name == "replicated":
-            return ReplicatedExecution(k=self.k)
-        if self.name == "incremental":
-            return IncrementalRecovery(persist=self.persist or "volatile")
-        return {
-            "none": NoFaultTolerance,
-            "rollback": RollbackRecovery,
-            "splice": SpliceRecovery,
-            "reversible": ReversibleRecovery,
-        }[self.name]()
+        return POLICY_TABLE[self.name].build(**dict(self._given()))
 
 
 # -- fault schedule ------------------------------------------------------------
+
+_WHEN = Param("float", None, "fault time: a makespan fraction or an absolute time")
+_VICTIM = Param("int", None, "processor to kill")
 
 
 @dataclass(frozen=True)
@@ -410,19 +423,17 @@ class FaultSpec:
                     f"(e.g. {'600:2' if mode == 'time' else '0.5:1'}), got {item!r}",
                     spec=text, field="faults", value=item, position=offset,
                 )
-            when = _parse_float(
-                when_str, spec=text, field_name="faults.when", position=offset
-            )
-            node = _parse_int(
-                node_str, spec=text, field_name="faults.node",
-                position=offset + len(when_str) + 1,
+            when = coerce(_WHEN, "when", when_str, field="faults.when", spec=text, position=offset)
+            node = coerce(
+                _VICTIM, "node", node_str, field="faults.node",
+                spec=text, position=offset + len(when_str) + 1,
             )
             entries.append((when, node))
             offset += len(item) + 1
         return cls(tuple(entries), mode)
 
     def to_spec_str(self) -> str:
-        body = "+".join(f"{_fmt_num(when)}:{node}" for when, node in self.entries)
+        body = "+".join(f"{fmt_num(when)}:{node}" for when, node in self.entries)
         return body if self.mode == "frac" else f"{self.mode}:{body}"
 
     def to_json(self) -> Dict[str, Any]:
@@ -472,6 +483,19 @@ class FaultSpec:
 # -- nemesis -------------------------------------------------------------------
 
 
+def _fault_model(name: str, spec: Optional[str] = None, position: Optional[int] = None):
+    from repro.faults.registry import all_models, get_model
+
+    try:
+        return get_model(name)
+    except KeyError:
+        raise SpecError(
+            f"unknown fault model {name!r}",
+            spec=spec, field="nemesis.model", value=name,
+            allowed=tuple(all_models()), position=position,
+        ) from None
+
+
 @dataclass(frozen=True)
 class NemesisClause:
     """One fault-model clause: model name + the explicitly-given params.
@@ -487,11 +511,7 @@ class NemesisClause:
     def to_spec_str(self) -> str:
         if not self.params:
             return self.model
-        body = ",".join(
-            f"{key}={'-'.join(str(n) for n in value) if isinstance(value, tuple) else _fmt_num(value)}"
-            for key, value in self.params
-        )
-        return f"{self.model}:{body}"
+        return f"{self.model}:{render_params(_fault_model(self.model).params, self.params)}"
 
 
 @dataclass(frozen=True)
@@ -508,70 +528,22 @@ class NemesisSpec:
 
     @classmethod
     def parse(cls, text: str) -> "NemesisSpec":
-        from repro.faults.registry import all_models, get_model
-
         text = str(text).strip()
         if not text:
             return cls(())
         clauses: List[NemesisClause] = []
         offset = 0
         for clause_text in text.split("+"):
-            name, _, rest = clause_text.partition(":")
-            name = name.strip()
-            try:
-                info = get_model(name)
-            except KeyError:
-                raise SpecError(
-                    f"unknown fault model {name!r}",
-                    spec=text, field="nemesis.model", value=name,
-                    allowed=tuple(sorted(all_models())), position=offset,
-                ) from None
-            given: Dict[str, Any] = {}
-            item_offset = offset + len(name) + 1
-            if rest:
-                for item in rest.split(","):
-                    key, eq, raw = item.partition("=")
-                    key = key.strip()
-                    if not eq or key not in info.params:
-                        raise SpecError(
-                            f"unknown parameter {item!r} for fault model {name!r}; "
-                            f"expected {sorted(info.params)}",
-                            spec=text, field=f"nemesis.{name}", value=item,
-                            allowed=tuple(sorted(info.params)), position=item_offset,
-                        )
-                    given[key] = cls._parse_value(
-                        text, name, key, raw.strip(), info.params[key].kind,
-                        position=item_offset + len(key) + 1,
-                    )
-                    item_offset += len(item) + 1
-            missing = [
-                k for k, p in info.params.items() if p.default is None and k not in given
-            ]
-            if missing:
-                raise SpecError(
-                    f"fault model {name!r} missing parameters: {missing}",
-                    spec=text, field=f"nemesis.{name}", value=clause_text,
-                    position=offset,
-                )
-            ordered = tuple((k, given[k]) for k in info.params if k in given)
-            clauses.append(NemesisClause(name, ordered))
+            head, _, body = clause_text.partition(":")
+            name = head.strip()
+            info = _fault_model(name, text, offset)
+            params = parse_params(
+                text, body, offset + len(head) + 1, info.params,
+                field=f"nemesis.{name}", owner=f"fault model {name!r}",
+            )
+            clauses.append(NemesisClause(name, params))
             offset += len(clause_text) + 1
         return cls(tuple(clauses))
-
-    @staticmethod
-    def _parse_value(spec: str, model: str, key: str, raw: str, kind: str, position: int):
-        try:
-            if kind == "nodes":
-                return tuple(int(part) for part in raw.split("-"))
-            if kind in ("int", "flag"):
-                return int(raw)
-            return float(raw)
-        except ValueError:
-            raise SpecError(
-                f"bad value {raw!r} for {model}:{key} (expected {kind})",
-                spec=spec, field=f"nemesis.{model}.{key}", value=raw,
-                position=position,
-            ) from None
 
     def to_spec_str(self) -> str:
         return "+".join(clause.to_spec_str() for clause in self.clauses)
@@ -591,8 +563,6 @@ class NemesisSpec:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "NemesisSpec":
-        from repro.faults.registry import all_models, get_model
-
         try:
             entries = list(payload.get("clauses", ()))
         except AttributeError:
@@ -602,45 +572,18 @@ class NemesisSpec:
             ) from None
         clauses = []
         for entry in entries:
-            try:
-                model_name = str(entry["model"])
-            except (TypeError, KeyError):
+            if not isinstance(entry, Mapping) or "model" not in entry:
                 raise SpecError(
                     f"malformed nemesis clause {entry!r} (expected an object "
                     "with 'model')",
                     field="nemesis", value=entry,
-                ) from None
-            try:
-                info = get_model(model_name)
-            except KeyError:
-                raise SpecError(
-                    f"unknown fault model {model_name!r}",
-                    field="nemesis.model", value=model_name,
-                    allowed=tuple(sorted(all_models())),
-                ) from None
-            given = {}
-            for key, value in entry.get("params", {}).items():
-                if key not in info.params:
-                    raise SpecError(
-                        f"unknown parameter {key!r} for fault model {info.name!r}",
-                        field=f"nemesis.{info.name}", value=key,
-                        allowed=tuple(sorted(info.params)),
-                    )
-                kind = info.params[key].kind
-                try:
-                    if kind == "nodes":
-                        given[key] = tuple(int(n) for n in value)
-                    elif kind in ("int", "flag"):
-                        given[key] = int(value)
-                    else:
-                        given[key] = float(value)
-                except (TypeError, ValueError):
-                    raise SpecError(
-                        f"bad value {value!r} for {info.name}:{key} (expected {kind})",
-                        field=f"nemesis.{info.name}.{key}", value=value,
-                    ) from None
-            ordered = tuple((k, given[k]) for k in info.params if k in given)
-            clauses.append(NemesisClause(info.name, ordered))
+                )
+            info = _fault_model(str(entry["model"]))
+            params = coerce_params(
+                info.params, entry.get("params", {}),
+                field=f"nemesis.{info.name}", owner=f"fault model {info.name!r}",
+            )
+            clauses.append(NemesisClause(info.name, params))
         return cls(tuple(clauses))
 
     def __bool__(self) -> bool:
@@ -653,13 +596,12 @@ class NemesisSpec:
         specs stay workload-relative exactly like ``fault_frac``.
         """
         from repro.faults.model import NemesisSchedule
-        from repro.faults.registry import get_model
 
         if not self.clauses:
             return NemesisSchedule.none()
         models = []
         for clause in self.clauses:
-            info = get_model(clause.model)
+            info = _fault_model(clause.model)
             kwargs = {
                 key: (value * base_makespan if info.params[key].fraction else value)
                 for key, value in clause.params
@@ -669,6 +611,21 @@ class NemesisSpec:
 
 
 # -- machine -------------------------------------------------------------------
+
+#: The machine table: shape fields, then one ``cost.NAME`` override per
+#: :class:`~repro.config.CostModel` field (sorted, the canonical order).
+MACHINE_PARAMS: Dict[str, Param] = {
+    "processors": Param("int", 4, "processor count"),
+    "topology": Param("choice", "complete", "interconnect", choices=TOPOLOGIES),
+    "scheduler": Param("choice", "gradient", "load balancer", choices=SCHEDULERS),
+    "replication": Param("int", 3, "replication factor for bare `replicated`"),
+    **{
+        f"cost.{name}": Param("float", getattr(CostModel, name), "cost-model override")
+        for name in sorted(f.name for f in dataclass_fields(CostModel))
+    },
+}
+_SHAPE = tuple(key for key in MACHINE_PARAMS if "." not in key)
+_MACHINE_ARGS = dict(field="machine", owner="machine spec", noun="machine field")
 
 
 @dataclass(frozen=True)
@@ -680,139 +637,60 @@ class MachineSpec:
     stays hashable and canonically ordered.
     """
 
-    processors: int = 4
-    topology: str = "complete"
-    scheduler: str = "gradient"
-    replication: int = 3
+    processors: int = MACHINE_PARAMS["processors"].default
+    topology: str = MACHINE_PARAMS["topology"].default
+    scheduler: str = MACHINE_PARAMS["scheduler"].default
+    replication: int = MACHINE_PARAMS["replication"].default
     cost: Tuple[Tuple[str, float], ...] = ()
+
+    @classmethod
+    def _of(cls, params: Tuple[Tuple[str, Any], ...]) -> "MachineSpec":
+        shape = {k: v for k, v in params if k in _SHAPE}
+        cost = tuple((k[len("cost."):], v) for k, v in params if k not in _SHAPE)
+        return cls(cost=cost, **shape)
 
     @classmethod
     def parse(cls, text: str) -> "MachineSpec":
         text = str(text).strip()
-        kwargs: Dict[str, Any] = {}
-        cost: Dict[str, float] = {}
-        offset = 0
-        for item in (text.split(",") if text else ()):
-            key, eq, raw = item.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if not eq:
-                raise SpecError(
-                    f"machine spec items are KEY=VALUE, got {item!r}",
-                    spec=text, field="machine", value=item, position=offset,
-                )
-            value_pos = offset + len(key) + 1
-            if key.startswith("cost."):
-                cost_field = key[len("cost."):]
-                if cost_field not in _COST_FIELDS:
-                    raise SpecError(
-                        f"unknown cost field {cost_field!r}",
-                        spec=text, field="machine.cost", value=cost_field,
-                        allowed=_COST_FIELDS, position=offset,
-                    )
-                cost[cost_field] = _parse_float(
-                    raw, spec=text, field_name=key, position=value_pos
-                )
-            elif key == "processors" or key == "replication":
-                kwargs[key] = _parse_int(
-                    raw, spec=text, field_name=f"machine.{key}", position=value_pos
-                )
-            elif key == "topology":
-                if raw not in TOPOLOGIES:
-                    raise SpecError(
-                        f"unknown topology {raw!r}",
-                        spec=text, field="machine.topology", value=raw,
-                        allowed=TOPOLOGIES, position=value_pos,
-                    )
-                kwargs[key] = raw
-            elif key == "scheduler":
-                if raw not in SCHEDULERS:
-                    raise SpecError(
-                        f"unknown scheduler {raw!r}",
-                        spec=text, field="machine.scheduler", value=raw,
-                        allowed=SCHEDULERS, position=value_pos,
-                    )
-                kwargs[key] = raw
-            else:
-                raise SpecError(
-                    f"unknown machine field {key!r}",
-                    spec=text, field="machine", value=key,
-                    allowed=("processors", "topology", "scheduler", "replication", "cost.NAME"),
-                    position=offset,
-                )
-            offset += len(item) + 1
-        return cls(cost=tuple(sorted(cost.items())), **kwargs)
+        return cls._of(parse_params(text, text, 0, MACHINE_PARAMS, **_MACHINE_ARGS))
 
     @classmethod
-    def from_params(cls, params: Mapping[str, Any]) -> "MachineSpec":
-        """The scenario-grid shim: plain JSON params -> MachineSpec."""
-        cost = params.get("cost", {})
+    def _from_doc(cls, doc: Mapping[str, Any]) -> "MachineSpec":
+        cost = doc.get("cost", {})
         if not isinstance(cost, Mapping):
             raise SpecError(
                 f"machine cost must be a mapping of field -> value, got {cost!r}",
                 field="machine.cost", value=cost,
             )
-        unknown = sorted(set(cost) - set(_COST_FIELDS))
-        if unknown:
-            raise SpecError(
-                f"unknown cost fields {unknown}",
-                field="machine.cost", value=unknown, allowed=_COST_FIELDS,
-            )
-        coerced = {}
-        for name, value in cost.items():
-            try:
-                coerced[name] = float(value)
-            except (TypeError, ValueError):
-                raise SpecError(
-                    f"bad value {value!r} for cost.{name} (expected float)",
-                    field=f"machine.cost.{name}", value=value,
-                ) from None
-        try:
-            return cls(
-                processors=int(params.get("processors", 4)),
-                topology=str(params.get("topology", "complete")),
-                scheduler=str(params.get("scheduler", "gradient")),
-                replication=int(params.get("replication", 3)),
-                cost=tuple(sorted(coerced.items())),
-            )
-        except (TypeError, ValueError) as exc:
-            raise SpecError(
-                f"malformed machine parameters: {exc}", field="machine", value=dict(params),
-            ) from None
+        flat = {k: v for k, v in doc.items() if k != "cost"}
+        flat.update((f"cost.{name}", value) for name, value in cost.items())
+        return cls._of(coerce_params(MACHINE_PARAMS, flat, **_MACHINE_ARGS))
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, Any]) -> "MachineSpec":
+        """The scenario-grid shim: plain JSON params -> MachineSpec.
+
+        The grid shares its namespace with the run-level params, so only
+        the machine's own keys are read here.
+        """
+        return cls._from_doc({k: params[k] for k in _SHAPE + ("cost",) if k in params})
 
     def to_spec_str(self) -> str:
-        default = MachineSpec()
-        parts = []
-        for key in ("processors", "topology", "scheduler", "replication"):
-            if getattr(self, key) != getattr(default, key):
-                parts.append(f"{key}={getattr(self, key)}")
-        parts.extend(f"cost.{name}={_fmt_num(value)}" for name, value in self.cost)
-        return ",".join(parts)
+        shape = [
+            (key, getattr(self, key)) for key in _SHAPE
+            if getattr(self, key) != MACHINE_PARAMS[key].default
+        ]
+        cost = [(f"cost.{name}", value) for name, value in self.cost]
+        return render_params(MACHINE_PARAMS, shape + cost)
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "processors": self.processors,
-            "topology": self.topology,
-            "scheduler": self.scheduler,
-            "replication": self.replication,
-            "cost": dict(self.cost),
-        }
+        return dict({key: getattr(self, key) for key in _SHAPE}, cost=dict(self.cost))
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "MachineSpec":
-        # Unlike from_params (which shares a namespace with the run-level
-        # grid params), a machine JSON document owns its whole object, so
-        # a typo'd key must not silently fall back to a default.
-        unknown = sorted(
-            set(payload) - {"processors", "topology", "scheduler", "replication", "cost"}
-        )
-        if unknown:
-            raise SpecError(
-                f"unknown machine field(s) {unknown}",
-                field="machine", value=unknown,
-                allowed=("processors", "topology", "scheduler", "replication", "cost"),
-            )
-        return cls.from_params(payload)
+        # Unlike from_params, a machine JSON document owns its whole
+        # object, so a typo'd key must not silently fall back to a default.
+        return cls._from_doc(payload)
 
     def to_config(self, seed: int) -> SimConfig:
         """Build the live ``SimConfig`` (the seed lives on the RunSpec)."""
@@ -890,23 +768,28 @@ class RunSpec:
                     "cannot combine a time-mode 'faults' schedule with fault_frac",
                     field="faults.mode", value=faults.mode, allowed=("frac",),
                 )
-            faults = FaultSpec(
-                faults.entries
-                + ((float(params["fault_frac"]), int(params.get("victim", 1))),),
-                "frac",
-            )
-        base_policy = params.get("base_policy")
-        sbp = params.get("speedup_base_processors")
-        return cls(
-            workload=WorkloadSpec.parse(str(params["workload"])),
-            policy=PolicySpec.parse(str(params.get("policy", "rollback"))),
-            machine=MachineSpec.from_params(params),
-            seed=int(params["seed"]),
+            when = coerce(_WHEN, "fault_frac", params["fault_frac"], field="fault_frac")
+            node = coerce(_VICTIM, "victim", params.get("victim", 1), field="victim")
+            faults = FaultSpec(faults.entries + ((when, node),), "frac")
+        return cls._of(
+            params, machine=MachineSpec.from_params(params), seed=int(params["seed"]),
             faults=faults,
-            nemesis=NemesisSpec.parse(str(params.get("nemesis", "") or "")),
+        )
+
+    @classmethod
+    def _of(cls, doc: Mapping[str, Any], **typed: Any) -> "RunSpec":
+        """The string-valued fields grid params and JSON documents share,
+        each parsed by its own grammar, plus the ``typed`` rest."""
+        base_policy = doc.get("base_policy")
+        sbp = doc.get("speedup_base_processors")
+        return cls(
+            workload=WorkloadSpec.parse(str(doc["workload"])),
+            policy=PolicySpec.parse(str(doc.get("policy", "rollback"))),
+            nemesis=NemesisSpec.parse(str(doc.get("nemesis", "") or "")),
             base_policy=PolicySpec.parse(str(base_policy)) if base_policy else None,
             speedup_base_processors=None if sbp is None else int(sbp),
-            arrivals=ArrivalSpec.parse(str(params.get("arrivals", "") or "")),
+            arrivals=ArrivalSpec.parse(str(doc.get("arrivals", "") or "")),
+            **typed,
         )
 
     def to_json(self) -> Dict[str, Any]:
@@ -959,18 +842,9 @@ class RunSpec:
                     f"{faults.mode!r} prefix",
                     field="faults.mode", value=doc_mode, allowed=(faults.mode,),
                 )
-            base_policy = payload.get("base_policy")
-            sbp = payload.get("speedup_base_processors")
-            return cls(
-                workload=WorkloadSpec.parse(str(payload["workload"])),
-                policy=PolicySpec.parse(str(payload.get("policy", "rollback"))),
-                machine=MachineSpec.from_json(payload.get("machine", {})),
-                seed=int(payload.get("seed", 0)),
-                faults=faults,
-                nemesis=NemesisSpec.parse(str(payload.get("nemesis", "") or "")),
-                base_policy=PolicySpec.parse(str(base_policy)) if base_policy else None,
-                speedup_base_processors=None if sbp is None else int(sbp),
-                arrivals=ArrivalSpec.parse(str(payload.get("arrivals", "") or "")),
+            return cls._of(
+                payload, machine=MachineSpec.from_json(payload.get("machine", {})),
+                seed=int(payload.get("seed", 0)), faults=faults,
             )
         except SpecError:
             raise

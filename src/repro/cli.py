@@ -77,7 +77,7 @@ import sys
 from typing import List, Optional
 
 from repro.api import Experiment, FaultSpec, PolicySpec, RunSpec, Session
-from repro.api.specs import SCHEDULERS, TOPOLOGIES
+from repro.api.specs import POLICY_TABLE, SCHEDULERS, TOPOLOGIES, policy_usage
 from repro.errors import ReproError, SpecError
 from repro.util.tables import format_table
 from repro.workloads.suite import WORKLOADS
@@ -86,16 +86,12 @@ from repro.workloads.suite import WORKLOADS
 #: policy/topology/scheduler in repro.api is enough for the CLI.
 #: Policies take parameters (``replicated:K``, ``incremental:persist=MODE``),
 #: so ``--policy`` validates through the spec grammar instead of a choices
-#: list; this tuple is the bare-name catalog ``repro list`` renders.
-POLICIES = PolicySpec._SIMPLE + ("incremental", "replicated")
+#: list; this tuple is the bare-name catalog, a view of the policy table.
+POLICIES = tuple(POLICY_TABLE)
 
-#: The ``--policy`` help string, kept next to POLICIES so the CLI surface
-#: and the spec grammar stay in sync (pinned by tests/test_docs.py).
-POLICY_HELP = (
-    "none | rollback | splice | reversible | "
-    "incremental[:persist=volatile|durable|hybrid] | replicated[:K] "
-    "(default: rollback)"
-)
+#: The ``--policy`` help string, derived from the same table (pinned by
+#: tests/test_docs.py).
+POLICY_HELP = " | ".join(policy_usage(name) for name in POLICIES) + " (default: rollback)"
 
 TRACE_KINDS = (
     "node_failed",
@@ -597,8 +593,11 @@ def cmd_list(out) -> int:
     print(file=out)
     print(
         format_table(
-            ["policy", "class"],
-            [[n, type(PolicySpec.parse(n).build()).__name__] for n in sorted(POLICIES)],
+            ["policy", "class", "recovery"],
+            [
+                [policy_usage(name), entry.build.__name__, entry.help]
+                for name, entry in POLICY_TABLE.items()
+            ],
             title="Policies",
         ),
         file=out,

@@ -292,19 +292,13 @@ def mutate_nemesis(
     else:  # swap within the crash family
         i = swappable[rng.randrange(len(swappable))]
         clause = clauses[i]
-        kept = dict(clause.params)
+        kept = tuple((k, v) for k, v in clause.params if k in ("at", "node"))
         if clause.model == "crash":
             prob = round(0.1 * rng.randint(2, 6), 1)
-            body = f"at={_fmt(kept['at'])},node={kept['node']},prob={_fmt(prob)}"
-            clauses[i] = NemesisSpec.parse(f"cascade:{body}").clauses[0]
+            clauses[i] = NemesisClause("cascade", kept + (("prob", prob),))
         else:
-            body = f"at={_fmt(kept['at'])},node={kept['node']}"
-            clauses[i] = NemesisSpec.parse(f"crash:{body}").clauses[0]
+            clauses[i] = NemesisClause("crash", kept)
     return _canonical(clauses)
-
-
-def _fmt(value) -> str:
-    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
 # -- shrinking ----------------------------------------------------------------
@@ -326,7 +320,7 @@ def spec_size(spec: NemesisSpec) -> Tuple[int, int, float]:
 def _removable(model: str, key: str) -> bool:
     from repro.faults.registry import get_model
 
-    return get_model(model).params[key].default is not None
+    return not get_model(model).params[key].required
 
 
 def _replace_clause(

@@ -6,7 +6,9 @@ model's parameters), and :func:`parse_nemesis` turns a *spec string*
 into an armed-ready :class:`~repro.faults.model.NemesisSchedule` — the
 JSON-friendly form the scenario registry grids over.
 
-Spec grammar (one line, shell- and JSON-safe):
+Spec grammar (one line, shell- and JSON-safe; each model's parameter
+table is a :class:`~repro.api.grammar.Param` table, parsed by the shared
+grammar engine):
 
     spec    := model ("+" model)*
     model   := NAME (":" kv ("," kv)*)?
@@ -31,8 +33,9 @@ a Python-API-only feature — the grammar exposes global probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping
 
+from repro.api.grammar import Param
 from repro.faults.model import FaultModel, NemesisSchedule
 from repro.faults.models import (
     CascadingCrash,
@@ -43,25 +46,6 @@ from repro.faults.models import (
     ScheduledCrash,
 )
 from repro.sim.failure import FaultSchedule
-
-
-@dataclass(frozen=True)
-class Param:
-    """One spec parameter of a registered model."""
-
-    kind: str  # "float" | "int" | "nodes" | "flag"
-    default: object
-    doc: str
-    #: True for time-like values given as fractions of the baseline
-    #: makespan (scaled by parse_nemesis).
-    fraction: bool = False
-
-    def describe_default(self) -> str:
-        if self.default is None:
-            return "required"
-        if self.kind == "nodes":
-            return "-".join(str(n) for n in self.default)
-        return f"{self.default:g}" if isinstance(self.default, float) else str(self.default)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,10 @@
 An :class:`ArrivalSpec` describes an *open-loop* traffic regime: instead
 of one closed task tree, the simulated machine receives a stream of
 independent task trees injected at the super-root over a configured
-horizon.  The grammar follows the ``NemesisSpec`` discipline exactly —
-
-* ``parse`` / ``to_spec_str`` round-trip byte-exactly,
-* parameters render in declaration order, only when explicitly given,
-* every failure is a structured :class:`~repro.errors.SpecError`.
+horizon.  The grammar is the shared one of :mod:`repro.api.grammar`
+(round-trips byte-exactly, renders given parameters only, in
+declaration order; every failure is a positioned
+:class:`~repro.errors.SpecError`).
 
 Grammar (one clause; an empty string means "closed-loop, no arrivals")::
 
@@ -44,6 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
+from repro.api.grammar import (
+    Param,
+    check_bound,
+    coerce_params,
+    lookup,
+    parse_params,
+    render_params,
+)
 from repro.errors import SpecError
 
 #: Registered arrival-process names, in documentation order.
@@ -58,93 +65,42 @@ OVERFLOW_POLICIES: Tuple[str, ...] = ("drop", "tail", "backpressure")
 MAX_EXPECTED_ARRIVALS = 5000.0
 
 
-def _fmt_num(value: Any) -> str:
-    """Canonical numeric rendering (mirrors ``repro.api.specs``)."""
-    if isinstance(value, bool):  # pragma: no cover - no bool params today
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    text = repr(float(value))
-    if text.endswith(".0"):
-        text = text[:-2]
-    return text.replace("e+", "e")
+#: Parameters every process takes.
+_COMMON = {
+    "tasks": Param(
+        "int", 8, "mean tree size; sizes are uniform in [max(1, tasks//2), tasks + tasks//2]",
+        at_least=1,
+    ),
+    "cap": Param("int", 0, "per-node inbox capacity (0 = unbounded)", at_least=0),
+    "overflow": Param(
+        "choice", "drop",
+        "full-inbox policy: drop (drop-with-notify), tail (silent), backpressure",
+        choices=OVERFLOW_POLICIES,
+    ),
+}
+_HORIZON = Param("float", None, "arrival window [0, horizon)", above=0)
 
-
-@dataclass(frozen=True)
-class ProcessParam:
-    """Declaration of one arrival-process parameter."""
-
-    kind: str  # "float" | "int" | "choice"
-    default: Any  # None = required
-    doc: str
-    choices: Tuple[str, ...] = ()
-
-    @property
-    def required(self) -> bool:
-        return self.default is None
-
-
-def _common_params() -> Dict[str, ProcessParam]:
-    return {
-        "tasks": ProcessParam(
-            "int", 8, "mean tree size; sizes are uniform in [max(1, tasks//2), tasks + tasks//2]"
-        ),
-        "cap": ProcessParam("int", 0, "per-node inbox capacity (0 = unbounded)"),
-        "overflow": ProcessParam(
-            "choice",
-            "drop",
-            "full-inbox policy: drop (drop-with-notify), tail (silent), backpressure",
-            choices=OVERFLOW_POLICIES,
-        ),
-    }
-
-
-#: Parameter tables per process, in canonical (declaration) order.
-PROCESSES: Dict[str, Dict[str, ProcessParam]] = {
+#: Parameter tables per process, in canonical (declaration) order.  The
+#: lower bounds are checked by :meth:`ArrivalSpec.validate`.
+PROCESSES: Dict[str, Dict[str, Param]] = {
     "poisson": {
-        "rate": ProcessParam("float", None, "mean arrival rate (arrivals per time unit)"),
-        "horizon": ProcessParam("float", None, "arrival window [0, horizon)"),
-        **_common_params(),
+        "rate": Param("float", None, "mean arrival rate (arrivals per time unit)", above=0),
+        "horizon": _HORIZON,
+        **_COMMON,
     },
     "bursty": {
-        "rate": ProcessParam("float", None, "arrival rate inside a burst"),
-        "on": ProcessParam("float", None, "mean burst length (time units)"),
-        "off": ProcessParam("float", None, "mean idle gap between bursts"),
-        "horizon": ProcessParam("float", None, "arrival window [0, horizon)"),
-        **_common_params(),
+        "rate": Param("float", None, "arrival rate inside a burst", above=0),
+        "on": Param("float", None, "mean burst length (time units)", above=0),
+        "off": Param("float", None, "mean idle gap between bursts", at_least=0),
+        "horizon": _HORIZON,
+        **_COMMON,
     },
     "diurnal": {
-        "peak": ProcessParam("float", None, "peak arrival rate at mid-horizon"),
-        "horizon": ProcessParam("float", None, "arrival window [0, horizon)"),
-        **_common_params(),
+        "peak": Param("float", None, "peak arrival rate at mid-horizon", above=0),
+        "horizon": _HORIZON,
+        **_COMMON,
     },
 }
-
-
-def _parse_number(
-    token: str, kind: str, *, spec: str, field: str, position: int
-) -> Any:
-    if kind == "int":
-        try:
-            return int(token)
-        except ValueError:
-            raise SpecError(
-                f"expected an integer for {field}, got {token!r}",
-                spec=spec,
-                field=field,
-                value=token,
-                position=position,
-            ) from None
-    try:
-        return float(token)
-    except ValueError:
-        raise SpecError(
-            f"expected a number for {field}, got {token!r}",
-            spec=spec,
-            field=field,
-            value=token,
-            position=position,
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -176,102 +132,27 @@ class ArrivalSpec:
     def __bool__(self) -> bool:
         return self.process != ""
 
-    # -- parsing ---------------------------------------------------------
-
     @classmethod
     def parse(cls, text: str) -> "ArrivalSpec":
         text = (text or "").strip()
         if not text:
             return cls()
-        name, sep, rest = text.partition(":")
+        name, _, rest = text.partition(":")
         name = name.strip()
-        if name not in PROCESSES:
-            raise SpecError(
-                f"unknown arrival process {name!r}",
-                spec=text,
-                field="arrivals.process",
-                value=name,
-                allowed=ARRIVAL_PROCESSES,
-                position=0,
-            )
-        table = PROCESSES[name]
-        given: Dict[str, Any] = {}
-        if sep and rest.strip():
-            offset = len(name) + 1
-            for item in rest.split(","):
-                position = offset
-                offset += len(item) + 1
-                token = item.strip()
-                if not token:
-                    continue
-                key, eq, raw = token.partition("=")
-                key = key.strip()
-                raw = raw.strip()
-                if not eq or not raw:
-                    raise SpecError(
-                        f"expected key=value in arrival spec, got {token!r}",
-                        spec=text,
-                        field=f"arrivals.{name}",
-                        value=token,
-                        position=position,
-                    )
-                info = table.get(key)
-                if info is None:
-                    raise SpecError(
-                        f"unknown parameter {key!r} for arrival process {name!r}",
-                        spec=text,
-                        field=f"arrivals.{name}.{key}",
-                        value=key,
-                        allowed=tuple(table),
-                        position=position,
-                    )
-                if key in given:
-                    raise SpecError(
-                        f"duplicate parameter {key!r} in arrival spec",
-                        spec=text,
-                        field=f"arrivals.{name}.{key}",
-                        value=key,
-                        position=position,
-                    )
-                if info.kind == "choice":
-                    if raw not in info.choices:
-                        raise SpecError(
-                            f"unknown value {raw!r} for {name}.{key}",
-                            spec=text,
-                            field=f"arrivals.{name}.{key}",
-                            value=raw,
-                            allowed=info.choices,
-                            position=position,
-                        )
-                    given[key] = raw
-                else:
-                    given[key] = _parse_number(
-                        raw,
-                        info.kind,
-                        spec=text,
-                        field=f"arrivals.{name}.{key}",
-                        position=position,
-                    )
-        for key, info in table.items():
-            if info.required and key not in given:
-                raise SpecError(
-                    f"arrival process {name!r} requires parameter {key!r}",
-                    spec=text,
-                    field=f"arrivals.{name}.{key}",
-                    value=None,
-                    allowed=tuple(k for k, p in table.items() if p.required),
-                )
-        ordered = tuple((k, given[k]) for k in table if k in given)
-        return cls(process=name, params=ordered)
-
-    # -- rendering -------------------------------------------------------
+        table = lookup(
+            PROCESSES, name, what="arrival process", field="arrivals.process",
+            spec=text, position=0,
+        )
+        params = parse_params(
+            text, rest, len(name) + 1, table,
+            field=f"arrivals.{name}", owner=f"arrival process {name!r}",
+        )
+        return cls(process=name, params=params)
 
     def to_spec_str(self) -> str:
         if not self.process:
             return ""
-        rendered = ",".join(
-            f"{k}={v if isinstance(v, str) else _fmt_num(v)}" for k, v in self.params
-        )
+        rendered = render_params(PROCESSES[self.process], self.params)
         return f"{self.process}:{rendered}" if rendered else self.process
 
     def to_json(self) -> Dict[str, Any]:
@@ -282,23 +163,17 @@ class ArrivalSpec:
         if not isinstance(payload, Mapping):
             raise SpecError(
                 f"arrival document must be an object, got {type(payload).__name__}",
-                field="arrivals",
-                value=payload,
+                field="arrivals", value=payload,
             )
         process = str(payload.get("process", "") or "")
         if not process:
             return cls()
-        params = payload.get("params", {})
-        if not isinstance(params, Mapping):
-            raise SpecError(
-                "arrival 'params' must be an object",
-                field="arrivals.params",
-                value=params,
-            )
-        rendered = ",".join(
-            f"{k}={v if isinstance(v, str) else _fmt_num(v)}" for k, v in params.items()
+        table = lookup(PROCESSES, process, what="arrival process", field="arrivals.process")
+        params = coerce_params(
+            table, payload.get("params", {}),
+            field=f"arrivals.{process}", owner=f"arrival process {process!r}",
         )
-        return cls.parse(f"{process}:{rendered}" if rendered else process)
+        return cls(process=process, params=params)
 
     # -- semantics -------------------------------------------------------
 
@@ -326,28 +201,17 @@ class ArrivalSpec:
         return p["peak"] * p["horizon"] / 2.0
 
     def validate(self) -> None:
-        """Raise :class:`SpecError` unless the spec is semantically sound."""
+        """Raise :class:`SpecError` unless the spec is semantically sound:
+        every parameter within its declared bound and the expected
+        arrival count within :data:`MAX_EXPECTED_ARRIVALS`."""
         if not self.process:
             return
         spec_str = self.to_spec_str()
-        p = self.resolved()
-        checks = (
-            ("rate", lambda v: v > 0, "must be > 0"),
-            ("peak", lambda v: v > 0, "must be > 0"),
-            ("horizon", lambda v: v > 0, "must be > 0"),
-            ("on", lambda v: v > 0, "must be > 0"),
-            ("off", lambda v: v >= 0, "must be >= 0"),
-            ("tasks", lambda v: v >= 1, "must be >= 1"),
-            ("cap", lambda v: v >= 0, "must be >= 0"),
-        )
-        for key, ok, why in checks:
-            if key in p and not ok(p[key]):
-                raise SpecError(
-                    f"arrival parameter {self.process}.{key} {why}, got {p[key]}",
-                    spec=spec_str,
-                    field=f"arrivals.{self.process}.{key}",
-                    value=p[key],
-                )
+        table = PROCESSES[self.process]
+        for key, value in self.resolved().items():
+            check_bound(
+                table[key], value, field=f"arrivals.{self.process}.{key}", spec=spec_str
+            )
         expected = self.expected_arrivals()
         if expected > MAX_EXPECTED_ARRIVALS:
             raise SpecError(

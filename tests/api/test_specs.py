@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import (
     RUNSPEC_SCHEMA,
+    ArrivalSpec,
     FaultSpec,
     MachineSpec,
     NemesisSpec,
@@ -57,6 +58,23 @@ class TestWorkloadSpec:
         err = exc_info.value
         assert err.value == "x"
         assert err.position == len("balanced:3:")
+
+    @pytest.mark.parametrize(
+        "text,field,position",
+        [
+            ("chain:0:5", "workload.chain.length", len("chain:")),
+            ("wide:0:5", "workload.wide.width", len("wide:")),
+            ("balanced:3:0:10", "workload.balanced.fanout", len("balanced:3:")),
+            ("balanced:-3:2:10", "workload.balanced.depth", len("balanced:")),
+            ("random:1:0", "workload.random.tasks", len("random:1:")),
+        ],
+    )
+    def test_out_of_bound_args_fail_at_parse(self, text, field, position):
+        # the bounds are trees.py's own, checked before any tree is built
+        with pytest.raises(SpecError, match="must be >=") as exc_info:
+            WorkloadSpec.parse(text)
+        assert exc_info.value.field == field
+        assert exc_info.value.position == position
 
     def test_wrong_arity(self):
         with pytest.raises(SpecError, match="takes"):
@@ -127,6 +145,11 @@ class TestPolicySpec:
     def test_bad_k(self):
         with pytest.raises(SpecError, match="expected int"):
             PolicySpec.parse("replicated:many")
+        # k < 1 would spin to the event budget; the bound rejects it at parse
+        for text in ("replicated:0", "replicated:-2"):
+            with pytest.raises(SpecError, match="must be >= 1") as exc_info:
+                PolicySpec.parse(text)
+            assert exc_info.value.position == len("replicated:")
 
     def test_reversible_is_a_simple_policy(self):
         spec = PolicySpec.parse("reversible")
@@ -177,6 +200,9 @@ class TestPolicySpec:
                      "reversible", "incremental", "incremental:persist=hybrid"):
             spec = PolicySpec.parse(text)
             assert PolicySpec.from_json(spec.to_json()) == spec
+        for doc in ({"name": "replicated", "k": 0}, {"name": "rollback", "k": 3}):
+            with pytest.raises(SpecError):
+                PolicySpec.from_json(doc)
 
     def test_persist_json_key_only_when_set(self):
         # pre-existing documents (and the cache keys derived from them)
@@ -357,6 +383,35 @@ class TestMachineSpec:
     def test_json_roundtrip(self):
         spec = MachineSpec.parse("processors=8,scheduler=static,cost.ack_timeout=100")
         assert MachineSpec.from_json(spec.to_json()) == spec
+
+
+#: One valid body per keyed grammar; its first key takes a number.
+KEYED_GRAMMARS = [
+    pytest.param(NemesisSpec, "crash:", "at=0.4,node=1", id="nemesis"),
+    pytest.param(MachineSpec, "", "processors=8,replication=2", id="machine"),
+    pytest.param(ArrivalSpec, "poisson:", "rate=0.01,horizon=100", id="arrival"),
+]
+
+
+@pytest.mark.parametrize("cls,head,body", KEYED_GRAMMARS)
+@pytest.mark.parametrize(
+    "mistake", ["duplicate key", "empty item", "trailing comma", "bad value", "unknown key"]
+)
+def test_keyed_grammars_share_one_set_of_rules(cls, head, body, mistake):
+    # nemesis, machine and arrival specs go through one clause parser,
+    # so each mistake fails the same way, positioned at the offender
+    first, rest = body.split(",", 1)
+    key = first.partition("=")[0]
+    text, match, offender = {
+        "duplicate key": (f"{head}{body},{key}=2", "duplicate", f"{key}=2"),
+        "empty item": (f"{head}{first}, ,{rest}", "key=value", " ,"),
+        "trailing comma": (f"{head}{body},", "key=value", ""),
+        "bad value": (f"{head}{key}=oops,{rest}", "bad value", "oops"),
+        "unknown key": (f"{head}{body}, zzz=1", "unknown", "zzz"),
+    }[mistake]
+    with pytest.raises(SpecError, match=match) as exc_info:
+        cls.parse(text)
+    assert text[exc_info.value.position:].startswith(offender)
 
 
 class TestRunSpec:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.core import NoFaultTolerance, ReplicatedExecution
-from repro.baselines import tmr_policy
+from repro.api import PolicySpec
 from repro.lang.programs import get_program
 from repro.sim import Fault, FaultSchedule, InterpWorkload, TreeWorkload
 from repro.sim.machine import run_simulation
@@ -104,8 +104,9 @@ class TestFaultMasking:
 
 class TestTmrBaseline:
     def test_tmr_is_k3(self):
-        policy = tmr_policy()
-        assert isinstance(policy, ReplicatedExecution)
+        # TMR (Misunas [11]) is the §5.3 replication policy at k = 3
+        policy = PolicySpec.parse("replicated:3").build()
+        assert isinstance(policy, ReplicatedExecution) and policy._k == 3
         result = run(
             TreeWorkload(balanced_tree(3, 2, 20), "bal"),
             policy,

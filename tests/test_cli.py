@@ -105,6 +105,29 @@ class TestRun:
         assert "unknown fault model" in err and "Traceback" not in err
 
 
+class TestFailFast:
+    """Specs the simulator cannot run are refused at parse, with exit 2,
+    instead of spinning to the event budget or raising from a builder."""
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_replicated_below_one_exits_2(self, k, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("run", "balanced:3:2:10", "--policy", f"replicated:{k}")
+        assert exc_info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "workload",
+        ["chain:0:5", "wide:0:5", "balanced:3:0:10", "balanced:-3:2:10", "random:1:0"],
+    )
+    def test_out_of_bound_tree_exits_2_with_one_line(self, workload, capsys):
+        code, _ = run_cli("run", workload)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be >=" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 class TestRunSpecFlags:
     def test_dry_run_prints_canonical_runspec(self):
         import json
