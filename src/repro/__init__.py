@@ -51,9 +51,9 @@ Package layout
 - :mod:`repro.core`      — functional checkpointing, rollback, splice,
   replication (the paper's contribution)
 - :mod:`repro.faults`    — composable fault models (nemesis)
-- :mod:`repro.baselines` — periodic global checkpointing, restart, TMR
+- :mod:`repro.baselines` — periodic global checkpointing, restart
 - :mod:`repro.workloads` — synthetic call-tree generators, Figure-1 tree
-- :mod:`repro.analysis`  — experiment runner and figure reproductions
+- :mod:`repro.analysis`  — figure reproductions
 - :mod:`repro.exp`       — scenario registry + parallel sweep runner
 - :mod:`repro.report`    — replication aggregation + statistical reports
 - :mod:`repro.perf`      — benchmark registry + baseline compare

@@ -1,32 +1,8 @@
-"""Experiment harness: sweeps, figure reproductions, reporting.
+"""Figure reproductions: the paper's Figures 1–7 as checked text tables.
 
-The sweep runners here are thin loops over the ``repro.api`` RunSpec
-path (see :mod:`repro.analysis.experiments`); statistical aggregation
-of *replicated* sweeps lives in :mod:`repro.report`.
+:mod:`repro.analysis.figures` renders each figure, driven by
+:mod:`repro.analysis.cases_driver` (Figure 5's recovery cases) and
+:mod:`repro.analysis.residue` (Figures 6–7's spawn-state residue).
+Parameter sweeps are registered scenarios in :mod:`repro.exp`;
+statistics over replicated sweeps live in :mod:`repro.report`.
 """
-
-from repro.analysis.experiments import (
-    FaultSweepPoint,
-    OverheadRow,
-    ScalingPoint,
-    fault_free_makespan,
-    fault_time_sweep,
-    multi_fault_run,
-    overhead_sweep,
-    scaling_sweep,
-)
-from repro.analysis.report import render_fault_sweep, render_overhead, render_scaling
-
-__all__ = [
-    "FaultSweepPoint",
-    "OverheadRow",
-    "ScalingPoint",
-    "fault_free_makespan",
-    "fault_time_sweep",
-    "multi_fault_run",
-    "overhead_sweep",
-    "scaling_sweep",
-    "render_fault_sweep",
-    "render_overhead",
-    "render_scaling",
-]

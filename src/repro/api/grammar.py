@@ -98,6 +98,12 @@ class Param:
     def describe_default(self) -> str:
         return "required" if self.required else self.render(self.default)
 
+    def admits(self, value: Any) -> bool:
+        """Does ``value`` respect the declared lower bound?"""
+        return (self.at_least is None or value >= self.at_least) and (
+            self.above is None or value > self.above
+        )
+
 
 def coerce(
     param: Param, key: str, value: Any, *, field: str,
@@ -126,12 +132,12 @@ def check_bound(
     spec: Optional[str] = None, position: Optional[int] = None,
 ) -> None:
     """Raise unless ``value`` respects ``param``'s lower bound."""
+    if param.admits(value):
+        return
     if param.at_least is not None and not value >= param.at_least:
         why = f">= {fmt_num(param.at_least)}"
-    elif param.above is not None and not value > param.above:
-        why = f"> {fmt_num(param.above)}"
     else:
-        return
+        why = f"> {fmt_num(param.above)}"
     raise SpecError(
         f"{field} must be {why}, got {fmt_num(value)}",
         spec=spec, field=field, value=value, position=position,

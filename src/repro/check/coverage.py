@@ -75,40 +75,23 @@ class RecoveryStats:
 def recovery_stats(ctx: CheckContext) -> RecoveryStats:
     """Measure the recovery windows of one run.
 
-    Pairs ``recovery_reissue`` with its close
-    (``recovery_complete``/``result_received``/``result_salvaged`` for
-    the same stamp) exactly like the ``bounded-recovery`` oracle does,
-    including the holder-abort mooting rule, so the worst ratio seen
-    here is the same margin that oracle judges.
+    Reads the context's one recovery-window fold
+    (:attr:`~repro.check.oracles.CheckContext.recovery_windows`), the
+    same pairing the ``bounded-recovery`` oracle judges, so the worst
+    ratio seen here is that oracle's margin.
     """
-    open_at: Dict[str, Tuple[float, Any]] = {}
-    windows = 0
-    max_overlap = 0
-    worst = 0.0
+    windows = ctx.recovery_windows
     horizon = ctx.horizon if ctx.horizon > 0 else 1.0
-    for r in ctx.records:
-        stamp = r.detail.get("stamp")
-        if r.kind == "recovery_reissue":
-            windows += 1
-            open_at[stamp] = (r.time, r.detail.get("uid"))
-            max_overlap = max(max_overlap, len(open_at))
-        elif r.kind in ("recovery_complete", "result_received", "result_salvaged"):
-            if stamp in open_at:
-                opened, _ = open_at.pop(stamp)
-                worst = max(worst, (r.time - opened) / horizon)
-        elif r.kind == "task_aborted":
-            uid = r.detail.get("uid")
-            for s in [s for s, (_, holder) in open_at.items() if holder == uid]:
-                del open_at[s]
-            if stamp in open_at:
-                del open_at[stamp]
-    for opened, _ in open_at.values():
+    worst = 0.0
+    for _, opened, done in windows.closed:
+        worst = max(worst, (done - opened) / horizon)
+    for _, opened in windows.still_open:
         worst = max(worst, (ctx.makespan - opened) / horizon)
     return RecoveryStats(
-        windows=windows,
-        max_overlap=max_overlap,
+        windows=windows.opened,
+        max_overlap=windows.max_overlap,
         worst_ratio=round(worst, 6),
-        left_open=len(open_at),
+        left_open=len(windows.still_open),
     )
 
 
@@ -170,14 +153,7 @@ def signature_from_context(
 ) -> CoverageSignature:
     """Extract the coverage signature of one evaluated run."""
     stats = recovery_stats(ctx)
-    dead = ctx.dead_nodes()
-    false_pos = [
-        r
-        for r in ctx.records
-        if r.kind == "failure_detected" and r.detail.get("dead") not in dead
-    ]
-    pairs = {(r.node, r.detail["dead"]) for r in false_pos}
-    onesided = [(a, b) for a, b in pairs if (b, a) not in pairs]
+    fp = ctx.false_positives
     reasons: List[str] = sorted(
         {
             str(r.detail.get("reason"))
@@ -190,8 +166,8 @@ def signature_from_context(
         windows=bucket_count(stats.windows),
         overlap=bucket_count(stats.max_overlap),
         left_open=bucket_count(stats.left_open),
-        false_positives=bucket_count(len(false_pos)),
-        one_sided=bucket_count(len(onesided)),
+        false_positives=bucket_count(len(fp.records)),
+        one_sided=bucket_count(len(fp.one_sided)),
         reasons=tuple(reasons),
         margin=bucket_margin(stats.worst_ratio),
         completed=ctx.completed,

@@ -38,7 +38,8 @@ them without running the machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import SpecError
 from repro.sim.trace import TraceRecord
@@ -51,6 +52,9 @@ STATUSES = ("pass", "weak", "violation")
 #: acausal (splice relays and orphan reroutes do not re-emit
 #: ``result_sent``, hence the three kinds).
 RESULT_ORIGINS = ("result_sent", "result_relayed", "result_orphan_rerouted")
+
+#: Trace kinds that close an open recovery window for their stamp.
+RECOVERY_CLOSES = ("recovery_complete", "result_received", "result_salvaged")
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,84 @@ class CheckContext:
             for r in self.records
             if r.kind == "node_failed"
         )
+
+    # The two trace folds more than one consumer reads: computed once per
+    # context, shared by the oracles below and by the coverage layer.
+
+    @cached_property
+    def recovery_windows(self) -> "RecoveryWindows":
+        """Pair each ``recovery_reissue`` with the record that closes it.
+
+        A window closes when a result for its stamp arrives
+        (:data:`RECOVERY_CLOSES`) or is mooted: the holder aborts (its
+        open obligations die with it), or the reissued child itself
+        aborts.  A later reissue of the same stamp supersedes an open one.
+        """
+        open_at: Dict[str, Tuple[float, Any]] = {}  # stamp -> (opened, holder uid)
+        closed: List[Tuple[str, float, float]] = []
+        opened = max_overlap = 0
+        for r in self.records:
+            stamp = r.detail.get("stamp")
+            if r.kind == "recovery_reissue":
+                opened += 1
+                open_at[stamp] = (r.time, r.detail.get("uid"))
+                max_overlap = max(max_overlap, len(open_at))
+            elif r.kind in RECOVERY_CLOSES:
+                if stamp in open_at:
+                    closed.append((stamp, open_at.pop(stamp)[0], r.time))
+            elif r.kind == "task_aborted":
+                uid = r.detail.get("uid")
+                for s in [s for s, (_, holder) in open_at.items() if holder == uid]:
+                    del open_at[s]
+                open_at.pop(stamp, None)
+        return RecoveryWindows(
+            opened=opened,
+            closed=tuple(closed),
+            still_open=tuple((s, t) for s, (t, _) in open_at.items()),
+            max_overlap=max_overlap,
+        )
+
+    @cached_property
+    def false_positives(self) -> "FalsePositives":
+        """The failure detections whose target never crashed."""
+        dead = self.dead_nodes()
+        detections = [r for r in self.records if r.kind == "failure_detected"]
+        records = tuple(r for r in detections if r.detail.get("dead") not in dead)
+        pairs = frozenset((r.node, r.detail["dead"]) for r in records)
+        return FalsePositives(
+            detections=len(detections),
+            records=records,
+            pairs=pairs,
+            one_sided=tuple(sorted((a, b) for a, b in pairs if (b, a) not in pairs)),
+        )
+
+
+@dataclass(frozen=True)
+class RecoveryWindows:
+    """One run's recovery windows (:attr:`CheckContext.recovery_windows`)."""
+
+    #: ``recovery_reissue`` records seen.
+    opened: int
+    #: ``(stamp, opened, closed)`` per closed window, in close order.
+    closed: Tuple[Tuple[str, float, float], ...]
+    #: ``(stamp, opened)`` per window still open at the end of the run.
+    still_open: Tuple[Tuple[str, float], ...]
+    #: Most windows open at once.
+    max_overlap: int
+
+
+@dataclass(frozen=True)
+class FalsePositives:
+    """One run's false-positive detections (:attr:`CheckContext.false_positives`)."""
+
+    #: All ``failure_detected`` records.
+    detections: int
+    #: The ``failure_detected`` records whose target never crashed.
+    records: Tuple[TraceRecord, ...]
+    #: ``(detector, target)`` pairs among them.
+    pairs: FrozenSet[Tuple[int, int]]
+    #: Sorted pairs whose reverse never fired: one side wrote the other off.
+    one_sided: Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -286,27 +368,9 @@ def _causal_delivery(ctx: CheckContext) -> Verdict:
 @oracle("bounded-recovery", "every triggered recovery closes within the horizon")
 def _bounded_recovery(ctx: CheckContext) -> Verdict:
     name = "bounded-recovery"
-    open_at: Dict[str, Tuple[float, Any]] = {}  # stamp -> (opened, holder uid)
-    closed: List[Tuple[str, float, float]] = []
-    total = 0
-    for r in ctx.records:
-        stamp = r.detail.get("stamp")
-        if r.kind == "recovery_reissue":
-            total += 1
-            open_at[stamp] = (r.time, r.detail.get("uid"))
-        elif r.kind in ("recovery_complete", "result_received", "result_salvaged"):
-            if stamp in open_at:
-                closed.append((stamp, open_at.pop(stamp)[0], r.time))
-        elif r.kind == "task_aborted":
-            # The holder died: its open obligations are mooted, and the
-            # aborted child's own pending recovery is discarded with it.
-            uid = r.detail.get("uid")
-            for s in [s for s, (_, holder) in open_at.items() if holder == uid]:
-                del open_at[s]
-            if stamp in open_at:
-                del open_at[stamp]
+    windows = ctx.recovery_windows
     horizon = ctx.horizon
-    for stamp, opened, done in closed:
+    for stamp, opened, done in windows.closed:
         if done - opened > horizon:
             return Verdict(
                 name, "violation",
@@ -314,13 +378,13 @@ def _bounded_recovery(ctx: CheckContext) -> Verdict:
                 f"(> horizon {horizon:g})",
                 window=(opened, done),
             )
-    if open_at:
-        stamp, (opened, _) = min(open_at.items(), key=lambda kv: kv[1][0])
+    if windows.still_open:
+        stamp, opened = min(windows.still_open, key=lambda w: w[1])
         if not ctx.completed:
             return Verdict(
                 name, "violation",
-                f"{len(open_at)} recovery reissue(s) never completed and the "
-                f"run stalled (earliest open: stamp {stamp} at t={opened:g})",
+                f"{len(windows.still_open)} recovery reissue(s) never completed "
+                f"and the run stalled (earliest open: stamp {stamp} at t={opened:g})",
                 window=(opened, ctx.makespan),
             )
         if ctx.makespan - opened > horizon:
@@ -332,39 +396,32 @@ def _bounded_recovery(ctx: CheckContext) -> Verdict:
             )
     return Verdict(
         name, "pass",
-        f"{total} recovery reissue(s), all closed within horizon {horizon:g}",
+        f"{windows.opened} recovery reissue(s), all closed within horizon {horizon:g}",
     )
 
 
 @oracle("weak-recovery", "classifies false-positive failure detections")
 def _weak_recovery(ctx: CheckContext) -> Verdict:
     name = "weak-recovery"
-    dead = ctx.dead_nodes()
-    false_pos: List[TraceRecord] = [
-        r
-        for r in ctx.records
-        if r.kind == "failure_detected" and r.detail.get("dead") not in dead
-    ]
-    if not false_pos:
+    fp = ctx.false_positives
+    if not fp.records:
         return Verdict(
             name, "pass",
             "every failure detection was a real crash"
-            if any(r.kind == "failure_detected" for r in ctx.records)
+            if fp.detections
             else "no failure detections",
         )
-    pairs = {(r.node, r.detail["dead"]) for r in false_pos}
-    onesided = sorted((a, b) for a, b in pairs if (b, a) not in pairs)
-    first = min(r.time for r in false_pos)
-    last = max(r.time for r in false_pos)
-    if not onesided:
+    first = min(r.time for r in fp.records)
+    last = max(r.time for r in fp.records)
+    if not fp.one_sided:
         return Verdict(
             name, "weak",
-            f"{len(pairs)} symmetric false-positive write-off(s) — the "
+            f"{len(fp.pairs)} symmetric false-positive write-off(s) — the "
             "partition-heal regime; both sides re-execute, determinacy "
             "absorbs the duplicates",
             window=(first, last),
         )
-    shown = ", ".join(f"{a}->{b}" for a, b in onesided[:4])
+    shown = ", ".join(f"{a}->{b}" for a, b in fp.one_sided[:4])
     if ctx.correct:
         return Verdict(
             name, "weak",

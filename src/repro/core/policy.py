@@ -121,13 +121,5 @@ class NoFaultTolerance(FaultTolerance):
     uses_ack_timers = False
 
     def on_packet_undeliverable(self, node, msg, dead_node) -> None:
-        # Without recovery machinery the packet is simply lost.
-        if node.trace.enabled:
-            node.trace.emit(
-                node.machine.queue.now,
-                node.id,
-                "delivery_failed",
-                msg_type="task_packet_lost",
-                stamp=str(msg.packet.stamp),
-                dead=dead_node,
-            )
+        """Without recovery machinery the packet is simply lost; the node
+        has already traced the loss as ``delivery_failed``."""

@@ -11,7 +11,9 @@ The ``machine`` runner is a thin shim over :mod:`repro.api`: the point
 parameters parse into a canonical :class:`~repro.api.RunSpec`
 (``RunSpec.from_params``) and :func:`repro.api.session.execute` produces
 the result record, so registry sweeps, ``repro run``, and programmatic
-``Experiment`` runs share one execution path and one result shape.
+``Experiment`` runs share one execution path and one result shape.  The
+``periodic`` runner's functional arm executes its fault-free and faulted
+runs through the same :func:`~repro.api.session.execute`.
 
 Parameter conventions for the ``machine`` runner (all JSON values):
 
@@ -46,42 +48,9 @@ offending token, the allowed values, and its position in the string.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping
 
-from repro.api.specs import FaultSpec, MachineSpec, PolicySpec, RunSpec, WorkloadSpec
-from repro.config import SimConfig
-from repro.sim.failure import FaultSchedule
-from repro.sim.machine import run_simulation
-from repro.sim.workload import TreeWorkload, Workload
-
-WorkloadFactory = Callable[[], Workload]
-
-
-# -- building blocks (string-grammar shims over repro.api) --------------------
-
-
-def build_workload(spec: str) -> Tuple[WorkloadFactory, Optional[int]]:
-    """Resolve a workload spec string to ``(factory, tree_size)``.
-
-    ``tree_size`` is the task count for synthetic trees (used by the
-    checkpoint-memory scenario) and ``None`` for interpreter programs.
-    """
-    return WorkloadSpec.parse(spec).build()
-
-
-def build_policy(spec: str):
-    """Resolve a policy spec string to a fresh policy instance."""
-    return PolicySpec.parse(spec).build()
-
-
-def build_config(params: Mapping[str, Any]) -> SimConfig:
-    """Build a :class:`SimConfig` from point parameters."""
-    return MachineSpec.from_params(params).to_config(int(params["seed"]))
-
-
-def parse_fault_fracs(text: str) -> List[Tuple[float, int]]:
-    """Parse ``"0.5:1+0.9:4"`` into ``[(0.5, 1), (0.9, 4)]``."""
-    return [tuple(entry) for entry in FaultSpec.parse(text, mode="frac").entries]
+from repro.api.specs import RunSpec
 
 
 # -- runners ------------------------------------------------------------------
@@ -120,15 +89,10 @@ def run_periodic_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     fault time is ``fault_frac x`` the unsynchronized periodic executor's
     makespan, derived per point so points stay independent.
     """
-    from repro.baselines import PeriodicCheckpointSimulator
-    from repro.workloads.trees import balanced_tree
-
     depth = int(params.get("depth", 5))
     fanout = int(params.get("fanout", 2))
     work = int(params.get("work", 30))
     processors = int(params.get("processors", 4))
-    spec = balanced_tree(depth, fanout, work)
-
     fault_time = float(params.get("fault_frac", 0.6)) * _periodic_base_makespan(
         depth, fanout, work, processors
     )
@@ -136,6 +100,10 @@ def run_periodic_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     scheme = str(params["scheme"])
     kind, _, arg = scheme.partition(":")
     if kind == "periodic":
+        from repro.baselines import PeriodicCheckpointSimulator
+        from repro.workloads.trees import balanced_tree
+
+        spec = balanced_tree(depth, fanout, work)
         interval = float(arg)
         ff = PeriodicCheckpointSimulator(spec, processors, interval=interval).run()
         faulted = PeriodicCheckpointSimulator(spec, processors, interval=interval).run(
@@ -151,16 +119,18 @@ def run_periodic_point(params: Mapping[str, Any]) -> Dict[str, Any]:
             "verified": faulted.completed,
         }
     if kind == "functional":
-        config = SimConfig(n_processors=processors, seed=int(params["seed"]))
-        workload = lambda: TreeWorkload(spec, "bal")  # noqa: E731
-        ff = run_simulation(
-            workload(), config, policy=build_policy(arg), collect_trace=False
+        from repro.api.session import Experiment, execute
+
+        run = (
+            Experiment.workload(f"balanced:{depth}:{fanout}:{work}")
+            .policy(arg)
+            .processors(processors)
+            .seed(int(params["seed"]))
         )
-        faulted = run_simulation(
-            workload(), config, policy=build_policy(arg),
-            faults=FaultSchedule.single(fault_time, int(params.get("victim", 1))),
-            collect_trace=False,
-        )
+        ff = execute(run.build()).result
+        faulted = execute(
+            run.fault(fault_time, int(params.get("victim", 1)), mode="time").build()
+        ).result
         return {
             "scheme": scheme,
             "fault_free_makespan": ff.makespan,

@@ -335,10 +335,14 @@ def shrink_candidates(spec: NemesisSpec) -> List[NemesisSpec]:
     """Strictly-smaller variants of ``spec``, in a fixed order.
 
     Order: drop whole clauses (front to back), then drop defaulted
-    parameters, then halve float values, then shrink partition groups.
-    Every candidate is strictly smaller under :func:`spec_size`; callers
-    greedily take the first candidate that still violates and repeat.
+    parameters, then halve float values (skipping a half that breaks
+    the parameter's declared bound, e.g. ``grayfail:factor`` < 1), then
+    shrink partition groups.  Every candidate is strictly smaller under
+    :func:`spec_size`; callers greedily take the first candidate that
+    still violates and repeat.
     """
+    from repro.faults.registry import get_model
+
     out: List[NemesisSpec] = []
     clauses = spec.clauses
     if len(clauses) > 1:
@@ -353,13 +357,14 @@ def shrink_candidates(spec: NemesisSpec) -> List[NemesisSpec]:
                     _replace_clause(spec, i, NemesisClause(clause.model, params))
                 )
     for i, clause in enumerate(clauses):
+        table = get_model(clause.model).params
         for j, (key, value) in enumerate(clause.params):
             if isinstance(value, tuple) or isinstance(value, bool):
                 continue
             if isinstance(value, int) or key in ("node", "notify"):
                 continue
             halved = round(float(value) / 2.0, 2)
-            if halved <= 0 or halved >= float(value):
+            if halved <= 0 or halved >= float(value) or not table[key].admits(halved):
                 continue
             params = clause.params[:j] + ((key, halved),) + clause.params[j + 1 :]
             out.append(_replace_clause(spec, i, NemesisClause(clause.model, params)))

@@ -160,7 +160,7 @@ register(
             "node": Param("int", None, "slowed processor"),
             "start": Param("float", None, "slowdown start", fraction=True),
             "dur": Param("float", None, "slowdown duration", fraction=True),
-            "factor": Param("float", 4.0, "step-time multiplier (>= 1)"),
+            "factor": Param("float", 4.0, "step-time multiplier (>= 1)", at_least=1),
         },
         build=lambda node, start, dur, factor=4.0: GrayFailure(
             int(node), start, dur, factor=factor

@@ -52,6 +52,16 @@ class TestShrinkCandidates:
             text = candidate.to_spec_str()
             assert "at=" in text and "node=" in text
 
+    def test_halving_respects_declared_bounds(self):
+        # grayfail:factor is declared >= 1: 1.5 must not halve to 0.75,
+        # 2 may halve to 1.
+        def halves(factor):
+            spec = NemesisSpec.parse(f"grayfail:node=1,start=0.2,dur=0.4,factor={factor}")
+            return [c.to_spec_str() for c in shrink_candidates(spec)]
+
+        assert halves(1.5) and not any("factor=0.75" in r for r in halves(1.5))
+        assert any(r.endswith("factor=1") for r in halves(2))
+
 
 class TestShrink:
     @pytest.fixture(scope="class")
@@ -80,3 +90,16 @@ class TestShrink:
         assert all(c.model != "jitter" for c in minimal.clauses)
         assert trail  # at least one accepted shrink step
         assert spec_size(minimal) < spec_size(NemesisSpec.parse(VIOLATING))
+
+
+def test_shrunk_grayfail_factor_does_not_crash_coverage_search(tmp_path):
+    # A coverage search whose shrinker once halved grayfail:factor below
+    # its bound of 1 and raised SpecError mid-search.
+    from repro.check import search
+
+    base = (
+        Experiment.workload("balanced:6:2:20").policy("rollback")
+        .processors(8).seed(1125913918).build()
+    )
+    result = search(base, seed=1007701480, strategy="coverage", rounds=6, out_dir=str(tmp_path))
+    assert result.simulations > 0

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.specs import FaultSpec, PolicySpec, WorkloadSpec
 from repro.exp import all_scenarios, expand, get_scenario, point_seed
-from repro.exp.points import (
-    RUNNERS,
-    build_policy,
-    build_workload,
-    parse_fault_fracs,
-)
+from repro.exp.points import RUNNERS
 from repro.exp.scenario import ScenarioSpec, canonical_json, stable_hash
 
 
@@ -143,19 +139,19 @@ class TestRegistry:
 
 class TestBuilders:
     def test_suite_workload(self):
-        factory, size = build_workload("fib-10")
+        factory, size = WorkloadSpec.parse("fib-10").build()
         assert size is None
         assert factory().name == "fib-10"
 
     def test_tree_workloads(self):
-        factory, size = build_workload("balanced:3:2:10")
+        factory, size = WorkloadSpec.parse("balanced:3:2:10").build()
         assert size == 15
         assert factory().name == "balanced:3:2:10"
-        _, chain_size = build_workload("chain:7:5")
+        _, chain_size = WorkloadSpec.parse("chain:7:5").build()
         assert chain_size == 7
 
     def test_prog_workload(self):
-        factory, size = build_workload("prog:fib:6")
+        factory, size = WorkloadSpec.parse("prog:fib:6").build()
         assert size is None
         assert factory().name == "prog:fib:6"
 
@@ -163,19 +159,19 @@ class TestBuilders:
         from repro.errors import SpecError
 
         with pytest.raises(SpecError, match="unknown workload"):
-            build_workload("nope:1:2")
+            WorkloadSpec.parse("nope:1:2").build()
 
     def test_policies(self):
-        assert build_policy("none").name == "none"
-        assert build_policy("rollback").name == "rollback"
-        assert build_policy("splice").name == "splice"
-        assert build_policy("replicated:5").k == 5
+        assert PolicySpec.parse("none").build().name == "none"
+        assert PolicySpec.parse("rollback").build().name == "rollback"
+        assert PolicySpec.parse("splice").build().name == "splice"
+        assert PolicySpec.parse("replicated:5").build().k == 5
         from repro.errors import SpecError
 
         with pytest.raises(SpecError, match="unknown policy"):
-            build_policy("nope")
+            PolicySpec.parse("nope").build()
 
     def test_parse_fault_fracs(self):
-        assert parse_fault_fracs("") == []
-        assert parse_fault_fracs("0.5:1") == [(0.5, 1)]
-        assert parse_fault_fracs("0.5:1+0.9:4") == [(0.5, 1), (0.9, 4)]
+        assert list(FaultSpec.parse("").entries) == []
+        assert list(FaultSpec.parse("0.5:1").entries) == [(0.5, 1)]
+        assert list(FaultSpec.parse("0.5:1+0.9:4").entries) == [(0.5, 1), (0.9, 4)]
